@@ -1,11 +1,13 @@
 // Shared helpers for the figure/table benches.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <string>
 #include <thread>
@@ -44,12 +46,12 @@ inline void rule(const char* title) {
   std::printf("\n==== %s ====\n", title);
 }
 
-/// One measured step of a closed-loop load: K clients, each holding exactly
-/// one request in flight (submit, wait for the verdict, classify, repeat).
-/// Unlike the open-loop flood, throughput here is self-clocked by service
-/// latency, so ramping K exposes the concurrency knee of a serving stack.
+/// One measured step of a closed-loop load: K requests in flight at all
+/// times (each verdict, once classified, sends the next request). Unlike
+/// the open-loop flood, throughput here is self-clocked by service latency,
+/// so ramping K exposes the concurrency knee of a serving stack.
 struct ClosedLoopResult {
-  std::size_t clients = 0;
+  std::size_t clients = 0;  ///< K, the requests kept in flight
   long long requests = 0;
   long long errors = 0;  ///< submissions or futures that threw
   std::int64_t tp = 0, fp = 0, unreliable = 0;
@@ -65,17 +67,27 @@ struct ClosedLoopResult {
   }
 };
 
-/// Drives `requests` submissions through `submit` with `clients` closed-loop
-/// clients sharing one atomic request counter. `submit(i)` must return the
-/// verdict future for global request index i (any Verdict-like with
-/// `.label` / `.reliable`); `truth(i)` its ground-truth label. A submission
-/// or future that throws counts as an error, not a served request.
+/// Measured trials per closed-loop step (after one discarded warmup).
+inline constexpr int kClosedLoopTrials = 5;
+
+/// Drives `requests` submissions through `submit` with `clients` requests
+/// in flight, the global request index drawn from one shared counter. The
+/// clients share at most hardware_concurrency() OS threads: each thread
+/// keeps a window of clients / threads requests in flight and waits on its
+/// oldest, so the load generator does not outnumber the cores it measures.
+/// `submit(i)` must return the verdict future for request i (any
+/// Verdict-like with `.label` / `.reliable`); `truth(i)` its ground-truth
+/// label. A submission or future that throws counts as an error, not a
+/// served request.
 template <typename SubmitFn, typename TruthFn>
 ClosedLoopResult closed_loop_load(std::size_t clients, long long requests,
                                   SubmitFn&& submit, TruthFn&& truth) {
+  using Future = decltype(submit(0LL));
   ClosedLoopResult res;
   res.clients = clients == 0 ? 1 : clients;
   res.requests = requests;
+  const std::size_t threads = std::min<std::size_t>(
+      res.clients, std::max(1U, std::thread::hardware_concurrency()));
   std::atomic<long long> next{0};
   std::atomic<long long> errors{0};
   std::atomic<std::int64_t> tp{0};
@@ -84,13 +96,30 @@ ClosedLoopResult closed_loop_load(std::size_t clients, long long requests,
   const auto t0 = std::chrono::steady_clock::now();
   {
     std::vector<std::jthread> workers;
-    workers.reserve(res.clients);
-    for (std::size_t c = 0; c < res.clients; ++c) {
-      workers.emplace_back([&] {
-        for (long long i = next.fetch_add(1); i < requests;
-             i = next.fetch_add(1)) {
+    workers.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      const std::size_t window =
+          res.clients / threads + (t < res.clients % threads ? 1 : 0);
+      workers.emplace_back([&, window] {
+        std::deque<std::pair<long long, Future>> in_flight;
+        // Tops the window up while requests remain to be sent.
+        auto refill = [&] {
+          while (in_flight.size() < window) {
+            const long long i = next.fetch_add(1);
+            if (i >= requests) return;
+            try {
+              in_flight.emplace_back(i, submit(i));
+            } catch (const std::exception&) {
+              errors.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        };
+        refill();
+        while (!in_flight.empty()) {
+          auto [i, future] = std::move(in_flight.front());
+          in_flight.pop_front();
           try {
-            const auto v = submit(i).get();
+            const auto v = future.get();
             if (!v.reliable) {
               unreliable.fetch_add(1, std::memory_order_relaxed);
             } else if (v.label == truth(i)) {
@@ -101,6 +130,7 @@ ClosedLoopResult closed_loop_load(std::size_t clients, long long requests,
           } catch (const std::exception&) {
             errors.fetch_add(1, std::memory_order_relaxed);
           }
+          refill();
         }
       });
     }
@@ -115,11 +145,41 @@ ClosedLoopResult closed_loop_load(std::size_t clients, long long requests,
   return res;
 }
 
+/// One closed-loop step measured robustly: a discarded warmup over the
+/// first quarter of the requests, then kClosedLoopTrials closed_loop_load
+/// runs over all of them. Returns the trial with the median req/s.
+/// Verdicts are deterministic, so every trial must tally alike: the
+/// returned `errors` counts every trial's errors plus each trial whose
+/// tallies differ from the median trial's.
+template <typename SubmitFn, typename TruthFn>
+ClosedLoopResult closed_loop_measure(std::size_t clients, long long requests,
+                                     SubmitFn&& submit, TruthFn&& truth) {
+  closed_loop_load(clients, std::max<long long>(requests / 4, 1), submit,
+                   truth);
+  std::vector<ClosedLoopResult> runs;
+  for (int k = 0; k < kClosedLoopTrials; ++k) {
+    runs.push_back(closed_loop_load(clients, requests, submit, truth));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const ClosedLoopResult& a, const ClosedLoopResult& b) {
+              return a.rps() < b.rps();
+            });
+  ClosedLoopResult median = runs[runs.size() / 2];
+  median.errors = 0;
+  for (const ClosedLoopResult& r : runs) {
+    const bool alike = r.tp == median.tp && r.fp == median.fp &&
+                       r.unreliable == median.unreliable;
+    median.errors += r.errors + (alike ? 0 : 1);
+  }
+  return median;
+}
+
 /// Concurrency ramp: doubles the client count 1, 2, 4, ... up to
 /// `max_clients` (always measuring `max_clients` itself last if the
 /// doubling overshoots it), stopping early once a step's marginal
 /// throughput gain over the previous one falls below `knee_gain` — the
-/// knee. Returns every step measured, in ramp order.
+/// knee. Every step is a closed_loop_measure. Returns every step measured,
+/// in ramp order.
 template <typename SubmitFn, typename TruthFn>
 std::vector<ClosedLoopResult> closed_loop_ramp(std::size_t max_clients,
                                                long long requests_per_step,
@@ -130,7 +190,8 @@ std::vector<ClosedLoopResult> closed_loop_ramp(std::size_t max_clients,
   if (max_clients == 0) max_clients = 1;
   for (std::size_t k = 1; k <= max_clients;
        k = k * 2 > max_clients && k < max_clients ? max_clients : k * 2) {
-    steps.push_back(closed_loop_load(k, requests_per_step, submit, truth));
+    steps.push_back(
+        closed_loop_measure(k, requests_per_step, submit, truth));
     const std::size_t n = steps.size();
     if (n >= 2 &&
         steps[n - 1].rps() < steps[n - 2].rps() * (1.0 + knee_gain)) {

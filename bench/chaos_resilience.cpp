@@ -85,7 +85,6 @@ runtime::ServingRuntime make_runtime(
   runtime::RuntimeOptions opts;
   opts.threads = 2;
   opts.max_batch = 8;
-  opts.max_delay = std::chrono::microseconds(500);
   opts.quarantine_after = kQuarantineAfter;
   opts.quarantine_cooldown = kCooldown;
   return runtime::ServingRuntime(std::move(system), opts);
@@ -218,7 +217,6 @@ RecoveryResult run_recovery(const zoo::Benchmark& bm,
   runtime::RuntimeOptions opts;
   opts.threads = 2;
   opts.max_batch = 8;
-  opts.max_delay = std::chrono::microseconds(500);
   opts.quarantine_after = kQuarantineAfter;
   opts.quarantine_cooldown = kCooldown;
   opts.scrub_interval = milliseconds(5);

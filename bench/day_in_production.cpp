@@ -70,7 +70,6 @@ fleet::FleetRouter make_fleet(
   opts.shards = shards;
   opts.runtime.threads = 1;
   opts.runtime.max_batch = 8;
-  opts.runtime.max_delay = std::chrono::microseconds(500);
   opts.runtime.queue_capacity = 64;
   opts.runtime.quarantine_after = 3;
   opts.runtime.quarantine_cooldown = milliseconds(50);

@@ -60,7 +60,6 @@ fleet::FleetRouter make_fleet(
   opts.shards = shards;
   opts.runtime.threads = 1;  // scale-out at fixed per-replica resources
   opts.runtime.max_batch = 8;
-  opts.runtime.max_delay = std::chrono::microseconds(500);
   opts.runtime.queue_capacity = 64;
   opts.shard_quarantine_after = 3;
   opts.shard_cooldown = milliseconds(100);
@@ -90,13 +89,14 @@ void print_step(const bench::ClosedLoopResult& s) {
               static_cast<long long>(s.unreliable), s.errors);
 }
 
-/// One closed-loop measurement of `fleet` at `clients` concurrency over
+/// One closed-loop measurement (median of trials, see
+/// bench::closed_loop_measure) of `fleet` at `clients` concurrency over
 /// requests 0..requests-1, keyed by request index.
 bench::ClosedLoopResult measure(fleet::FleetRouter& fleet,
                                 const data::Dataset& test,
                                 std::size_t clients, long long requests) {
   const std::int64_t pool_n = test.size();
-  return bench::closed_loop_load(
+  return bench::closed_loop_measure(
       clients, requests,
       [&](long long i) {
         return fleet.submit(test.sample(i % pool_n),

@@ -1,7 +1,8 @@
 // Serving-runtime throughput: requests/sec, batch coalescing and latency of
 // a 4-member SMNIST (lenet5) PolygraphMR system under an open-loop load, at
-// 1/2/4 worker threads. The verdict tallies must be identical across rows —
-// per-member parallelism never changes the decision.
+// threads = 1/2/4 (the batcher plus 0/1/3 pool workers). The verdict
+// tallies must be identical across rows — per-member parallelism never
+// changes the decision.
 //
 // A second section ramps closed-loop concurrency (K clients, one request in
 // flight each — bench::closed_loop_ramp, shared with fleet_bench) against a
@@ -34,7 +35,6 @@ Row run_load(const zoo::Benchmark& bm, const data::Dataset& test,
   runtime::RuntimeOptions opts;
   opts.threads = threads;
   opts.max_batch = 16;
-  opts.max_delay = std::chrono::microseconds(2000);
   opts.queue_capacity = 128;
   polygraph::PolygraphSystem system(zoo::make_ensemble(
       bm, {"ORG", "FlipX", "ConNorm", "Gamma(2.00)"}));
@@ -97,12 +97,11 @@ int main(int argc, char** argv) {
                 static_cast<long long>(row.unreliable), row.rps / base_rps);
   }
 
-  pgmr::bench::rule("closed-loop concurrency ramp (1 worker, K clients)");
+  pgmr::bench::rule("closed-loop concurrency ramp (threads = 1, K clients)");
   {
     runtime::RuntimeOptions opts;
     opts.threads = 1;
     opts.max_batch = 16;
-    opts.max_delay = std::chrono::microseconds(2000);
     polygraph::PolygraphSystem system(zoo::make_ensemble(
         bm, {"ORG", "FlipX", "ConNorm", "Gamma(2.00)"}));
     system.set_thresholds({0.5F, mr::majority_threshold(4)});

@@ -66,7 +66,6 @@ void write_system_spec(const std::string& dir,
   // included), so the uniform `protection` field is not re-serialized.
   w.write_i64(static_cast<std::int64_t>(options.threads));
   w.write_i64(static_cast<std::int64_t>(options.max_batch));
-  w.write_i64(options.max_delay.count());
   w.write_i64(static_cast<std::int64_t>(options.queue_capacity));
   w.write_i64(options.quarantine_after);
   w.write_i64(options.quarantine_cooldown.count());
@@ -105,7 +104,6 @@ WorkerSystem load_system_spec(const std::string& dir) {
   runtime::RuntimeOptions options;
   options.threads = static_cast<std::size_t>(r.read_i64());
   options.max_batch = static_cast<std::size_t>(r.read_i64());
-  options.max_delay = std::chrono::microseconds(r.read_i64());
   options.queue_capacity = static_cast<std::size_t>(r.read_i64());
   options.quarantine_after = static_cast<int>(r.read_i64());
   options.quarantine_cooldown = std::chrono::milliseconds(r.read_i64());

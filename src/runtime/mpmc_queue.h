@@ -2,18 +2,20 @@
 //
 // The serving runtime's request path: submitters push (blocking when the
 // queue is full, which is the runtime's backpressure mechanism) and the
-// batcher pops with a deadline so it can close out a partial batch when
-// max_delay expires. close() wakes everyone: pending pushes fail, pops
-// drain the remaining items and then return nullopt.
+// batcher blocks for the first request, then takes whatever else is already
+// queued in the same critical section (pop_batch) without waiting for more.
+// close() wakes everyone: pending pushes fail, pops drain the remaining
+// items and then return nullopt.
 #pragma once
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace pgmr::runtime {
 
@@ -56,14 +58,20 @@ class MpmcQueue {
     return pop_locked();
   }
 
-  /// Like pop(), but gives up at `deadline` (returns nullopt on timeout).
-  template <typename Clock, typename Duration>
-  std::optional<T> pop_until(
-      const std::chrono::time_point<Clock, Duration>& deadline) {
+  /// Blocks until an item is available or the queue is closed and drained,
+  /// then moves up to `max` (at least one) queued items into `out` without
+  /// waiting for more. Returns how many it moved; 0 means closed and
+  /// drained.
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
     std::unique_lock lock(mutex_);
-    not_empty_.wait_until(lock, deadline,
-                          [this] { return closed_ || !items_.empty(); });
-    return pop_locked();
+    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
+    const std::size_t n = std::min(items_.size(), max == 0 ? 1 : max);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(std::move(items_.front()));
+      items_.pop_front();
+    }
+    if (n > 0) not_full_.notify_all();
+    return n;
   }
 
   /// Rejects future pushes and wakes all waiters. Items already queued

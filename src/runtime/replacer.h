@@ -60,7 +60,7 @@ struct ReplacementPolicy {
   int max_attempts = 2;
   /// CPU budget for replacement training: at most this many factory calls
   /// run concurrently per pass (clamped >= 1). The cap keeps a multi-slot
-  /// recovery from starving the batcher's worker pool on a loaded box.
+  /// recovery from starving the serving threads on a loaded box.
   std::size_t training_threads = 1;
   /// Unix nice level for replacement-training threads (> 0 deprioritizes
   /// them below the serving threads). 0 leaves priority untouched; values

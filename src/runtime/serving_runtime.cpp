@@ -32,7 +32,10 @@ ServingRuntime::ServingRuntime(polygraph::PolygraphSystem system,
                                     options_.quarantine_cooldown,
                                     options_.fence_after_quarantines}),
       queue_(options_.queue_capacity),
-      pool_(options_.threads),
+      pool_(options_.threads > 1
+                ? std::make_unique<ThreadPool>(options_.threads - 1)
+                : nullptr),
+      executor_(pool_ ? pool_->executor() : mr::serial_executor()),
       batcher_([this] { batcher_loop(); }) {
   if (!options_.protection_per_member.empty() &&
       options_.protection_per_member.size() != system_.ensemble().size()) {
@@ -129,18 +132,11 @@ void ServingRuntime::on_member_fenced() {
 }
 
 void ServingRuntime::batcher_loop() {
-  while (std::optional<Request> first = queue_.pop()) {
-    std::vector<Request> batch;
-    batch.reserve(options_.max_batch);
-    batch.push_back(std::move(*first));
-    const auto deadline =
-        std::chrono::steady_clock::now() + options_.max_delay;
-    while (batch.size() < options_.max_batch) {
-      std::optional<Request> next = queue_.pop_until(deadline);
-      if (!next) break;  // linger expired, or closed and drained
-      batch.push_back(std::move(*next));
-    }
+  std::vector<Request> batch;
+  batch.reserve(options_.max_batch);
+  while (queue_.pop_batch(batch, options_.max_batch) > 0) {
     run_batch(batch);
+    batch.clear();
   }
 }
 
@@ -190,7 +186,7 @@ void ServingRuntime::run_batch(std::vector<Request>& batch) {
   const std::vector<bool> mask = health_.run_mask(entered);
   polygraph::BatchReport report;
   try {
-    report = system_.predict_batch_resilient(images, mask, pool_.executor());
+    report = system_.predict_batch_resilient(images, mask, executor_);
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
     for (Request* r : live) r->promise.set_exception(error);

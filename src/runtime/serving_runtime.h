@@ -1,18 +1,22 @@
 // ServingRuntime: the request->batch->verdict serving layer over a
 // PolygraphSystem.
 //
-// Pipeline (one dedicated batcher thread + a worker pool):
+// Pipeline (one dedicated batcher thread, plus threads - 1 pool workers):
 //
-//   submit(image) --> bounded MPMC queue --> dynamic batcher --> [N,C,H,W]
-//       batch --> ensemble members fanned across the ThreadPool -->
-//       decision engine --> promise fulfilled with the Verdict
+//   submit(image) --> bounded MPMC queue --> work-conserving batcher -->
+//       [N,C,H,W] batch --> ensemble members fanned across the batcher
+//       thread and the pool --> decision engine --> promise fulfilled with
+//       the Verdict
 //
-// The batcher coalesces queued single-image requests into batches of up to
-// max_batch, waiting at most max_delay after the first request before
-// closing a partial batch. Inside a batch, parallelism is per member (the
-// paper's Layer-2 networks are independent), so verdicts are bit-identical
-// to the serial path regardless of thread count. One batch is in flight at
-// a time, which also keeps member networks single-threaded internally.
+// The batcher is work-conserving: it blocks for the first request, then
+// takes whatever else is already queued, up to max_batch, and runs that
+// batch at once. It never lingers for a batch to fill; batches grow only
+// from the backlog that builds up while the previous batch runs. Inside a
+// batch, parallelism is per member (the paper's Layer-2 networks are
+// independent), so verdicts are bit-identical to the serial path regardless
+// of thread count. The batcher thread runs members itself, so at threads = 1
+// there is no pool and no thread handoff per batch. One batch is in flight
+// at a time, which also keeps member networks single-threaded internally.
 //
 // Backpressure: the queue is bounded; submit() blocks when full,
 // try_submit() refuses. Shutdown drains the queue — every accepted request
@@ -67,12 +71,12 @@ class DeadlineExceeded : public std::runtime_error {
   DeadlineExceeded() : std::runtime_error("request deadline exceeded") {}
 };
 
-/// Serving knobs. Defaults favour latency (tiny batches, short delay);
-/// benches crank max_batch/max_delay up to show coalescing.
+/// Serving knobs. Defaults favour latency (small batches, one thread).
 struct RuntimeOptions {
-  std::size_t threads = 1;              ///< worker pool size
+  /// Threads that run member forwards, the batcher thread included
+  /// (clamped >= 1): the batcher plus threads - 1 pool workers.
+  std::size_t threads = 1;
   std::size_t max_batch = 8;            ///< batch size cap (clamped >= 1)
-  std::chrono::microseconds max_delay{1000};  ///< partial-batch linger
   std::size_t queue_capacity = 256;     ///< bounded request queue
   int quarantine_after = 3;             ///< consecutive faults to quarantine
   std::chrono::milliseconds quarantine_cooldown{250};  ///< half-open delay
@@ -140,6 +144,10 @@ class ServingRuntime {
   const MetricsRegistry& metrics() const { return metrics_; }
   MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
 
+  /// The batcher thread, which also runs member forwards (see
+  /// RuntimeOptions::threads); a default id once shut down.
+  std::thread::id batcher_thread() const { return batcher_.get_id(); }
+
   /// Live circuit-breaker state (thread-safe reads).
   const MemberHealth& health() const { return health_; }
 
@@ -196,7 +204,9 @@ class ServingRuntime {
   MetricsRegistry metrics_;
   MemberHealth health_;
   MpmcQueue<Request> queue_;
-  ThreadPool pool_;
+  /// threads - 1 helpers for the batcher's member fan-out; none at 1.
+  std::unique_ptr<ThreadPool> pool_;
+  mr::Executor executor_;
   /// Serializes inference (run_batch) against scrubber/replacer swaps.
   std::mutex swap_mutex_;
   std::unique_ptr<WeightScrubber> scrubber_;

@@ -4,10 +4,11 @@
 //
 // Two entry points:
 //   submit(fn)         fire-and-track; returns a future for join/rethrow.
-//   parallel_for(n,fn) blocking indexed fan-out; rethrows the first
-//                      iteration failure. Exposed as an mr::Executor via
-//                      executor(), which is how the ensemble runs members
-//                      across workers without depending on this header.
+//   parallel_for(n,fn) blocking indexed fan-out in which the calling thread
+//                      runs iterations too; rethrows the first iteration
+//                      failure. Exposed as an mr::Executor via executor(),
+//                      which is how the ensemble runs members across
+//                      workers without depending on this header.
 #pragma once
 
 #include <condition_variable>
@@ -39,7 +40,9 @@ class ThreadPool {
   /// Enqueues one task; the future reports completion or rethrows.
   std::future<void> submit(std::function<void()> task);
 
-  /// Runs fn(0..n-1) across the workers and waits for all of them. The
+  /// Runs fn(0..n-1) across the calling thread and up to n-1 workers, which
+  /// claim indices from a shared counter, and waits for all of them. A
+  /// caller that finds no worker free runs every iteration itself. The
   /// first exception (lowest-indexed is not guaranteed) is rethrown after
   /// every iteration finished, so no fn is ever abandoned mid-flight.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);

@@ -78,7 +78,6 @@ FleetOptions process_options(std::size_t shards,
   o.process.healthy_uptime = milliseconds(200);
   o.runtime.threads = 1;
   o.runtime.max_batch = 4;
-  o.runtime.max_delay = microseconds(200);
   o.runtime.queue_capacity = 64;
   return o;
 }
@@ -246,7 +245,6 @@ TEST(ProcRouterTest, ShutdownRacesSubmitSafelyThreadBackend) {
     o.shards = 2;
     o.runtime.threads = 1;
     o.runtime.max_batch = 4;
-    o.runtime.max_delay = microseconds(200);
     o.runtime.queue_capacity = 64;
     return o;
   });

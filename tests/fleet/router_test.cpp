@@ -73,7 +73,6 @@ FleetOptions fleet_options(std::size_t shards,
   o.chaos = std::move(chaos);
   o.runtime.threads = 1;
   o.runtime.max_batch = 4;
-  o.runtime.max_delay = microseconds(200);
   o.runtime.queue_capacity = 64;
   return o;
 }
@@ -241,7 +240,6 @@ TEST(FleetRouterTest, BackloggedWinnerSpillsToTheLeastLoadedShard) {
   FleetOptions o = fleet_options(2);
   o.runtime.queue_capacity = 2;
   o.runtime.max_batch = 1;
-  o.runtime.max_delay = microseconds(100);
   FleetRouter fleet([&slow_system](std::size_t) { return slow_system(); }, o);
 
   const std::uint64_t key = key_owned_by(fleet, 0);

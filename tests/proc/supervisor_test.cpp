@@ -82,7 +82,6 @@ struct SpecDir {
     polygraph::PolygraphSystem sys = tiny_system();
     runtime::RuntimeOptions options;
     options.max_batch = 4;
-    options.max_delay = std::chrono::microseconds(200);
     options.queue_capacity = 64;
     write_system_spec(path.string(), sys, options);
   }

@@ -50,12 +50,16 @@ TEST(MpmcQueueTest, CloseDrainsRemainingItemsThenReturnsNullopt) {
   EXPECT_EQ(q.pop(), std::nullopt);  // stays drained
 }
 
-TEST(MpmcQueueTest, PopUntilTimesOutOnEmptyQueue) {
-  MpmcQueue<int> q(4);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
-  EXPECT_EQ(q.pop_until(deadline), std::nullopt);
-  EXPECT_FALSE(q.closed());
+TEST(MpmcQueueTest, PopBatchTakesWhatIsQueuedUpToMax) {
+  MpmcQueue<int> q(8);
+  for (int i = 1; i <= 3; ++i) ASSERT_TRUE(q.try_push(i));
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 2), 2U);  // capped, FIFO
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.pop_batch(out, 8), 1U);  // takes what is there, no waiting
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+  q.close();
+  EXPECT_EQ(q.pop_batch(out, 8), 0U);  // closed and drained
 }
 
 TEST(MpmcQueueTest, CloseWakesBlockedPush) {

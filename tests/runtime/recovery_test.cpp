@@ -92,7 +92,6 @@ class RecoveryTest : public ::testing::Test {
     RuntimeOptions o;
     o.threads = 2;
     o.max_batch = 4;
-    o.max_delay = std::chrono::microseconds(200);
     o.protection = nn::Protection::full;
     return o;
   }

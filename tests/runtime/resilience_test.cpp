@@ -59,7 +59,6 @@ RuntimeOptions fast_options(int quarantine_after,
   RuntimeOptions o;
   o.threads = 2;
   o.max_batch = 4;
-  o.max_delay = std::chrono::microseconds(200);
   o.quarantine_after = quarantine_after;
   o.quarantine_cooldown = cooldown;
   return o;

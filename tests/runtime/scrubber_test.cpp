@@ -67,7 +67,6 @@ class ScrubberTest : public ::testing::Test {
     RuntimeOptions o;
     o.threads = 2;
     o.max_batch = 4;
-    o.max_delay = std::chrono::microseconds(200);
     o.protection = nn::Protection::full;
     o.scrub_interval = interval;
     return o;

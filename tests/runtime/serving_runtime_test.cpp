@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
+#include <latch>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "nn/activations.h"
@@ -40,6 +47,50 @@ mr::Ensemble tiny_ensemble(int members) {
   return e;
 }
 
+/// Shared between a test and its LaneProbe members: the first member call
+/// parks the batcher until the test releases it (a busy lane, without any
+/// timing), and every call records the thread that ran it.
+struct Lane {
+  std::atomic<bool> armed{false};
+  std::latch entered{1};
+  std::latch release{1};
+  std::mutex mutex;
+  std::set<std::thread::id> threads;  // guarded by mutex
+};
+
+class LaneProbe final : public prep::Preprocessor {
+ public:
+  explicit LaneProbe(std::shared_ptr<Lane> lane) : lane_(std::move(lane)) {}
+  std::string name() const override { return "ORG"; }
+  Tensor apply(const Tensor& images) const override {
+    {
+      std::lock_guard guard(lane_->mutex);
+      lane_->threads.insert(std::this_thread::get_id());
+    }
+    if (lane_->armed.exchange(false)) {
+      lane_->entered.count_down();
+      lane_->release.wait();
+    }
+    return images;
+  }
+
+ private:
+  std::shared_ptr<Lane> lane_;
+};
+
+/// tiny_system(members) with every member behind a LaneProbe.
+polygraph::PolygraphSystem probed_system(int members,
+                                         const std::shared_ptr<Lane>& lane) {
+  mr::Ensemble e;
+  for (int m = 0; m < members; ++m) {
+    e.add(mr::Member(std::make_unique<LaneProbe>(lane),
+                     tiny_net(static_cast<std::uint64_t>(m) + 1)));
+  }
+  polygraph::PolygraphSystem sys(std::move(e));
+  sys.set_thresholds({0.4F, 2});
+  return sys;
+}
+
 polygraph::PolygraphSystem tiny_system(int members) {
   polygraph::PolygraphSystem sys(tiny_ensemble(members));
   sys.set_thresholds({0.4F, 2});
@@ -64,7 +115,6 @@ RuntimeOptions fast_options(std::size_t threads) {
   RuntimeOptions o;
   o.threads = threads;
   o.max_batch = 8;
-  o.max_delay = std::chrono::microseconds(500);
   o.queue_capacity = 64;
   return o;
 }
@@ -192,7 +242,6 @@ TEST(ServingRuntimeTest, StagedSystemChargesOnlyActivatedMembers) {
 
 TEST(ServingRuntimeTest, GeometryMismatchFailsOnlyThatRequest) {
   RuntimeOptions opts = fast_options(1);
-  opts.max_delay = std::chrono::milliseconds(50);  // encourage coalescing
   ServingRuntime rt(tiny_system(2), opts);
   auto good = rt.submit(random_images(1, 30));
   Rng rng(31);
@@ -207,6 +256,104 @@ TEST(ServingRuntimeTest, GeometryMismatchFailsOnlyThatRequest) {
   // request is unaffected.
   EXPECT_NO_THROW(good.get());
   EXPECT_THROW(bad.get(), std::exception);
+}
+
+/// Parks the batcher on a first request, queues `k` more behind it, then
+/// releases the lane; returns the metrics once every verdict is in.
+MetricsSnapshot serve_backlog(std::size_t k) {
+  auto lane = std::make_shared<Lane>();
+  lane->armed = true;
+  ServingRuntime rt(probed_system(2, lane), fast_options(1));
+  const Tensor images = random_images(static_cast<std::int64_t>(k) + 1, 50);
+  std::vector<std::future<polygraph::Verdict>> futures;
+  futures.push_back(rt.submit(images.slice_sample(0)));
+  lane->entered.wait();  // the lane is busy with the first request
+  for (std::int64_t i = 1; i <= static_cast<std::int64_t>(k); ++i) {
+    futures.push_back(rt.submit(images.slice_sample(i)));
+  }
+  lane->release.count_down();
+  for (auto& f : futures) EXPECT_NO_THROW(f.get());
+  return rt.metrics_snapshot();
+}
+
+TEST(ServingRuntimeTest, QueuedBacklogIsServedAsOneBatch) {
+  // No linger: the first request runs alone, and everything that queued
+  // behind the busy lane (k <= max_batch) goes out as the next batch.
+  const MetricsSnapshot s = serve_backlog(5);
+  EXPECT_EQ(s.batches, 2U);
+  EXPECT_EQ(s.max_batch_size, 5U);
+  EXPECT_EQ(s.batch_size_sum, 6U);
+
+  // A backlog past max_batch splits at the cap: 1, then 8, then 3.
+  const MetricsSnapshot over = serve_backlog(11);
+  EXPECT_EQ(over.batches, 3U);
+  EXPECT_EQ(over.max_batch_size, 8U);
+  EXPECT_EQ(over.batch_size_sum, 12U);
+}
+
+TEST(ServingRuntimeTest, MismatchedRequestInASharedBatchFailsAlone) {
+  auto lane = std::make_shared<Lane>();
+  lane->armed = true;
+  ServingRuntime rt(probed_system(2, lane), fast_options(1));
+  auto blocker = rt.submit(random_images(1, 60));
+  lane->entered.wait();
+  auto good = rt.submit(random_images(1, 61));
+  auto bad = rt.submit(Tensor(Shape{1, 1, 4, 4}));
+  lane->release.count_down();
+  EXPECT_NO_THROW(blocker.get());
+  EXPECT_NO_THROW(good.get());
+  // Rejected as the odd one out of a shared batch, not by the network.
+  try {
+    bad.get();
+    ADD_FAILURE() << "the mismatched request was served";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("differs from batch head"),
+              std::string::npos)
+        << e.what();
+  }
+  const MetricsSnapshot s = rt.metrics_snapshot();
+  EXPECT_EQ(s.batches, 2U);
+  EXPECT_EQ(s.batch_size_sum, 2U);
+}
+
+/// The distinct threads that ran a 4-member system's members while it
+/// served 40 requests, and the runtime's batcher thread.
+struct MemberThreads {
+  std::set<std::thread::id> ran;
+  std::thread::id batcher;
+};
+
+MemberThreads member_threads(std::size_t threads) {
+  auto lane = std::make_shared<Lane>();
+  MemberThreads out;
+  {
+    ServingRuntime rt(probed_system(4, lane), fast_options(threads));
+    out.batcher = rt.batcher_thread();
+    const Tensor images = random_images(40, 70);
+    std::vector<std::future<polygraph::Verdict>> futures;
+    for (std::int64_t n = 0; n < 40; ++n) {
+      futures.push_back(rt.submit(images.slice_sample(n)));
+    }
+    for (auto& f : futures) f.get();
+  }
+  out.ran = lane->threads;
+  return out;
+}
+
+TEST(ServingRuntimeTest, OneThreadRunsEveryMemberOnTheBatcher) {
+  const MemberThreads t = member_threads(1);
+  EXPECT_NE(t.batcher, std::thread::id());
+  // The batcher itself runs every member: no pool, no handoff.
+  EXPECT_EQ(t.ran, std::set<std::thread::id>{t.batcher});
+}
+
+TEST(ServingRuntimeTest, ThreadsBoundsTheThreadsThatRunMembers) {
+  for (const std::size_t threads : {2U, 3U}) {
+    const MemberThreads t = member_threads(threads);
+    EXPECT_GE(t.ran.size(), 1U) << threads;
+    EXPECT_LE(t.ran.size(), threads) << threads;  // batcher + threads - 1
+    EXPECT_EQ(t.ran.count(std::this_thread::get_id()), 0U) << threads;
+  }
 }
 
 TEST(ServingRuntimeTest, OptionsAreClampedToUsableValues) {

@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace pgmr::runtime {
@@ -50,6 +56,52 @@ TEST(ThreadPoolTest, ParallelForRethrowsAfterAllIterationsFinish) {
                std::runtime_error);
   // No iteration is abandoned mid-flight: all the non-throwing ones ran.
   EXPECT_EQ(finished.load(), 15);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsIterationsOnTheCallingThread) {
+  ThreadPool pool(1);
+  // Park the only worker: every iteration must then run on the caller,
+  // each exactly once, without waiting for the worker to come free. (A
+  // pool that left the caller idle would wait for the parked worker; the
+  // 30 s bound turns that hang into a failure.)
+  std::latch release(1);
+  auto parked = pool.submit([&] { release.wait(); });
+  constexpr std::size_t kN = 16;
+  std::vector<std::atomic<int>> hits(kN);
+  std::vector<std::thread::id> ran_on(kN);
+  std::promise<void> finished;
+  std::future<void> returned = finished.get_future();
+  std::thread caller([&] {
+    pool.parallel_for(kN, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      ran_on[i] = std::this_thread::get_id();
+    });
+    finished.set_value();
+  });
+  const std::thread::id caller_id = caller.get_id();
+  const bool on_time =
+      returned.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.count_down();
+  caller.join();
+  parked.get();
+  EXPECT_TRUE(on_time);
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
+    EXPECT_EQ(ran_on[i], caller_id) << i;
+  }
+
+  // With the worker free, the caller and the worker share the indices:
+  // still each exactly once, on at most two threads.
+  std::vector<std::atomic<int>> again(kN);
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  pool.parallel_for(kN, [&](std::size_t i) {
+    again[i].fetch_add(1);
+    std::lock_guard guard(mutex);
+    threads.insert(std::this_thread::get_id());
+  });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(again[i].load(), 1) << i;
+  EXPECT_LE(threads.size(), 2U);
 }
 
 TEST(ThreadPoolTest, ParallelForZeroAndOneAreInline) {

@@ -190,7 +190,6 @@ int cmd_serve_bench(const std::string& config_path, int argc, char** argv) {
   runtime::RuntimeOptions opts;
   opts.threads = 1;
   opts.max_batch = 16;
-  opts.max_delay = std::chrono::microseconds(2000);
   long long requests = 1000;
   long long deadline_us = 0;  // 0 = no per-request deadline
   long long closed_loop = 0;  // 0 = open loop, K = concurrent clients
@@ -207,8 +206,6 @@ int cmd_serve_bench(const std::string& config_path, int argc, char** argv) {
       opts.threads = static_cast<std::size_t>(value);
     } else if (flag == "--max-batch") {
       opts.max_batch = static_cast<std::size_t>(value);
-    } else if (flag == "--max-delay-us") {
-      opts.max_delay = std::chrono::microseconds(value);
     } else if (flag == "--queue-cap") {
       opts.queue_capacity = static_cast<std::size_t>(value);
     } else if (flag == "--requests") {
@@ -295,12 +292,11 @@ int cmd_serve_bench(const std::string& config_path, int argc, char** argv) {
   const std::int64_t pool_n = splits.test.size();
   std::printf("serve-bench: %s (%zu members, shards=%zu, isolation=%s, "
               "threads=%zu, "
-              "max_batch=%zu, max_delay=%lldus, requests=%lld, "
+              "max_batch=%zu, requests=%lld, "
               "protection=%s, scrub_interval=%lldms, mode=%s)\n",
               config.benchmark.c_str(), config.members.size(), shards,
               fleet::to_string(isolation),
-              opts.threads, opts.max_batch,
-              static_cast<long long>(opts.max_delay.count()), requests,
+              opts.threads, opts.max_batch, requests,
               protection_auto ? "auto" : nn::to_string(opts.protection),
               static_cast<long long>(opts.scrub_interval.count()),
               closed_loop > 0 ? "closed-loop" : "open-loop");
@@ -571,7 +567,7 @@ int usage() {
                "  pgmr eval <config.cfg>\n"
                "  pgmr predict <config.cfg> <sample-index>\n"
                "  pgmr serve-bench <config.cfg> [--threads N] [--max-batch B]"
-               " [--max-delay-us D] [--queue-cap Q] [--requests R]"
+               " [--queue-cap Q] [--requests R]"
                " [--deadline-us T] [--closed-loop K] [--shards N]"
                " [--isolation thread|process]"
                " [--protection off|fc|full|auto] [--sdc-budget B]"
